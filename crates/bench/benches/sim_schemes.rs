@@ -31,13 +31,13 @@ fn bench_schemes(c: &mut Criterion) {
 }
 
 fn bench_campaign(c: &mut Criterion) {
-    use turnpike_resilience::{fault_campaign, CampaignConfig};
+    use turnpike_resilience::{fault_campaign_forked, CampaignConfig};
     let mut group = c.benchmark_group("fault_campaign");
     group.sample_size(10);
     let kernel = kernel_by_name(Suite::Cpu2006, "leslie3d", Scale::Smoke).expect("kernel exists");
     group.bench_function("turnpike_5_strikes", |b| {
         b.iter(|| {
-            fault_campaign(
+            fault_campaign_forked(
                 &kernel.program,
                 &RunSpec::new(Scheme::Turnpike),
                 &CampaignConfig {
@@ -46,8 +46,10 @@ fn bench_campaign(c: &mut Criterion) {
                     strikes_per_run: 1,
                     ..Default::default()
                 },
+                1,
             )
             .expect("campaign runs")
+            .0
         })
     });
     group.finish();

@@ -110,7 +110,7 @@ use turnpike_serve::{
     loadgen, loadgen_fleet, Arrival, Client, FleetLoadgenConfig, JobKind, JobRequest,
     LoadgenConfig, Outcome, Server, ServerConfig, Store,
 };
-use turnpike_sim::{Core, Translation};
+use turnpike_sim::{Core, RunOpts, Translation};
 use turnpike_workloads::{all_kernels, Scale, Suite};
 
 /// The target list rendered from the registry, one aligned line per target.
@@ -1099,7 +1099,7 @@ fn fleet_bench_main(args: &[String]) -> ExitCode {
 fn telemetry_main(args: &[String]) -> ExitCode {
     use turnpike_metrics::RateEstimator;
     use turnpike_resilience::{
-        fault_campaign_hooked, write_strike_records_capped_to_path, CampaignConfig, CampaignHook,
+        fault_campaign_shard_hooked, write_strike_records, CampaignConfig, CampaignHook,
         CampaignProgress, StopRule,
     };
 
@@ -1180,12 +1180,13 @@ fn telemetry_main(args: &[String]) -> ExitCode {
     for scheme in Scheme::LADDER {
         let spec = RunSpec::new(scheme);
         let t0 = Instant::now();
-        let off = fault_campaign_hooked(
+        let off = fault_campaign_shard_hooked(
             &kernel.program,
             &spec,
             &config,
             threads,
             CampaignHook::default(),
+            0,
         );
         let off_us = t0.elapsed().as_micros();
         let on_progress = |p: &CampaignProgress| {
@@ -1199,7 +1200,7 @@ fn telemetry_main(args: &[String]) -> ExitCode {
             ..CampaignHook::default()
         };
         let t0 = Instant::now();
-        let on = fault_campaign_hooked(&kernel.program, &spec, &config, threads, hook);
+        let on = fault_campaign_shard_hooked(&kernel.program, &spec, &config, threads, hook, 0);
         let on_us = t0.elapsed().as_micros();
         let ((off_report, off_records, _), (on_report, _, _)) = match (off, on) {
             (Ok(a), Ok(b)) => (a, b),
@@ -1265,12 +1266,13 @@ fn telemetry_main(args: &[String]) -> ExitCode {
             ..config
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let report = match fault_campaign_hooked(
+        let report = match fault_campaign_shard_hooked(
             &kernel.program,
             &spec,
             &stop_config,
             threads,
             CampaignHook::default(),
+            0,
         ) {
             Ok((r, _, _)) => r,
             Err(e) => {
@@ -1294,7 +1296,7 @@ fn telemetry_main(args: &[String]) -> ExitCode {
     }
 
     if let Some(path) = &records_path {
-        match write_strike_records_capped_to_path(&turnpike_records, max_records, seed, path) {
+        match write_strike_records(&turnpike_records, max_records, seed, path) {
             Ok(()) => eprintln!(
                 "# wrote {path}: {} strike records{}",
                 turnpike_records
@@ -1547,7 +1549,7 @@ fn sim_throughput_main(args: &[String]) -> ExitCode {
                         core.attach_translation(translation.clone());
                     }
                     let t0 = Instant::now();
-                    let out = match core.run() {
+                    let out = match core.run(RunOpts::default()) {
                         Ok(o) => o,
                         Err(e) => {
                             eprintln!("reproduce sim-throughput: run {}: {e}", k.name);

@@ -11,7 +11,9 @@ use turnpike_metrics::{Hist, MetricSet};
 use turnpike_resilience::{
     fault_campaign_forked, CampaignConfig, ForkStats, RunError, RunSpec, Scheme,
 };
-use turnpike_sim::{shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, JsonlSink};
+use turnpike_sim::{
+    shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, JsonlSink, RunOpts,
+};
 use turnpike_workloads::{all_kernels, Kernel, Scale};
 
 /// Trace output format.
@@ -66,14 +68,20 @@ pub fn export_trace(
     let compiled = turnpike_compiler::compile(&kernel.program, &spec.compiler_config())?;
     let sc = spec.sim_config();
     // Fault-free probe run fixes the strike point.
-    let horizon = Core::new(&compiled.program, sc.clone()).run()?.stats.cycles;
+    let horizon = Core::new(&compiled.program, sc.clone())
+        .run(RunOpts::default())?
+        .stats
+        .cycles;
     let plan = trace_plan(spec, horizon);
     match format {
         TraceFormat::Chrome => {
             let sink = shared_sink(ChromeTrace::new());
             let mut core = Core::new(&compiled.program, sc);
             core.attach_sink(sink.clone());
-            core.run_with_faults(&plan)?;
+            core.run(RunOpts {
+                faults: &plan,
+                ..RunOpts::default()
+            })?;
             let rendered = sink.borrow().render();
             Ok(rendered)
         }
@@ -81,7 +89,10 @@ pub fn export_trace(
             let sink = shared_sink(JsonlSink::new(Vec::new()));
             let mut core = Core::new(&compiled.program, sc);
             core.attach_sink(sink.clone());
-            core.run_with_faults(&plan)?;
+            core.run(RunOpts {
+                faults: &plan,
+                ..RunOpts::default()
+            })?;
             // The run consumed the core, releasing its sink handle.
             let Ok(js) = std::rc::Rc::try_unwrap(sink) else {
                 unreachable!("core released its sink handle")

@@ -363,18 +363,33 @@ impl EngineExecutor {
     /// and the full derived configs. Single line (the store requires it).
     fn store_key(req: &JobRequest, r: &Resolved) -> String {
         let spec = Self::spec(req, r);
+        let sc = spec.sim_config();
+        // Every payload header echoes `req.wcdl`, so a key must name it
+        // whenever the derived configs do not: compile keys carry no sim
+        // config, and the baseline pins its own WCDL. Like `|offset=`, the
+        // suffix appears only then, so every key that already carried the
+        // request's WCDL stays valid.
+        let wcdl = |carried: bool| {
+            if carried {
+                String::new()
+            } else {
+                format!("|wcdl={}", req.wcdl)
+            }
+        };
         match req.kind {
             JobKind::Figure => format!("job-v1|figure|target={}|scale={:?}", req.target, r.scale),
             JobKind::Compile => format!(
-                "job-v1|compile|kernel={:?}|cc={:?}",
-                r.kernel.as_ref().expect("non-figure").id(),
-                spec.compiler_config()
-            ),
-            JobKind::Run => format!(
-                "job-v1|run|kernel={:?}|cc={:?}|sc={:?}",
+                "job-v1|compile|kernel={:?}|cc={:?}{}",
                 r.kernel.as_ref().expect("non-figure").id(),
                 spec.compiler_config(),
-                spec.sim_config()
+                wcdl(false)
+            ),
+            JobKind::Run => format!(
+                "job-v1|run|kernel={:?}|cc={:?}|sc={:?}{}",
+                r.kernel.as_ref().expect("non-figure").id(),
+                spec.compiler_config(),
+                sc,
+                wcdl(sc.wcdl == req.wcdl)
             ),
             JobKind::Campaign => {
                 // `|offset=N` appears only for shard jobs so every key an
@@ -387,13 +402,14 @@ impl EngineExecutor {
                     format!("|offset={}", req.run_offset)
                 };
                 format!(
-                    "job-v1|campaign|kernel={:?}|cc={:?}|sc={:?}|runs={}|seed={}|strikes={}{offset}",
+                    "job-v1|campaign|kernel={:?}|cc={:?}|sc={:?}|runs={}|seed={}|strikes={}{}{offset}",
                     r.kernel.as_ref().expect("non-figure").id(),
                     spec.compiler_config(),
-                    spec.sim_config(),
+                    sc,
                     req.runs,
                     req.seed,
-                    req.strikes
+                    req.strikes,
+                    wcdl(sc.wcdl == req.wcdl)
                 )
             }
         }
@@ -653,6 +669,18 @@ mod tests {
         let mut seed = c0.clone();
         seed.seed = 1;
         assert_ne!(ck0, EngineExecutor::store_key(&seed, &rc));
+        // WCDL must separate keys even where the derived configs cannot
+        // show it: compile keys carry no sim config, and the baseline's
+        // sim config pins WCDL 10 whatever the request says.
+        let mut baseline = run_req();
+        baseline.scheme = "baseline".into();
+        for at10 in [JobRequest::new(JobKind::Compile), baseline] {
+            let mut at50 = at10.clone();
+            at50.wcdl = 50;
+            let k10 = EngineExecutor::store_key(&at10, &exec.resolve(&at10).unwrap());
+            let k50 = EngineExecutor::store_key(&at50, &exec.resolve(&at50).unwrap());
+            assert_ne!(k10, k50, "{at50:?}");
+        }
     }
 
     /// The explorer's override fields flow into the derived configs (and

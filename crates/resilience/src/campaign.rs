@@ -7,21 +7,22 @@
 //! against the fault-free run. For resilient schemes every run must match —
 //! the acoustic-sensor guarantee is *zero* silent data corruption.
 
-use crate::driver::RunResult;
-use crate::driver::{
-    resume_compiled_replay, run_compiled_collecting_snapshots, run_compiled_replay,
-    run_compiled_with_faults, RunError, RunSpec,
-};
+use crate::driver::{RunError, RunResult, RunSpec};
 use crate::par::par_map;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use turnpike_compiler::compile;
 use turnpike_ir::Program;
+use turnpike_isa::MachProgram;
 use turnpike_metrics::{RateEstimator, ThroughputMeter};
 use turnpike_sensor::StrikeSampler;
-use turnpike_sim::{Fault, FaultKind, FaultPlan, ReplayGuide, SimError, Translation};
+use turnpike_sim::{
+    Core, CoreSnapshot, Fault, FaultKind, FaultPlan, ReplayGuide, RunOpts, SimConfig, SimError,
+    SimOutcome, Translation,
+};
 
 /// Process-wide default for [`CampaignConfig::early_exit`]: on unless the
 /// `TURNPIKE_EARLY_EXIT` environment variable is set to `0` (the CI golden
@@ -269,98 +270,26 @@ impl StrikeRecord {
     }
 }
 
-/// Stream strike records as JSONL, one record per line, in order.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_strike_records<W: std::io::Write>(
-    records: &[StrikeRecord],
-    w: &mut W,
-) -> std::io::Result<()> {
-    for r in records {
-        writeln!(w, "{}", r.to_json())?;
-    }
-    Ok(())
-}
-
-/// Write strike records as a JSONL file at `path`, creating any missing
-/// parent directories first — campaign output paths are routinely nested
+/// Write strike records as a JSONL file at `path`, one record per line in
+/// `(run, strike)` order, creating any missing parent directories first —
+/// campaign output paths are routinely nested
 /// (`results/<kernel>/<scheme>/strikes.jsonl`) and a missing directory
 /// should not be an error.
 ///
-/// # Errors
-///
-/// Propagates directory-creation and write failures.
-pub fn write_strike_records_to_path<P: AsRef<std::path::Path>>(
-    records: &[StrikeRecord],
-    path: P,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_strike_records(records, &mut w)?;
-    std::io::Write::flush(&mut w)
-}
-
-/// Like [`write_strike_records`], but when `cap` is `Some(n)` the output is
-/// bounded at `n` records drawn uniformly by a seeded reservoir sampler
+/// `cap: None` writes every record and nothing else. `cap: Some(n)` bounds
+/// the output at `n` records drawn uniformly by a seeded reservoir sampler
 /// ([`Reservoir`](turnpike_metrics::Reservoir)), so campaign JSONL stays
-/// O(cap) at any campaign size. Capped output is prefixed with one header
-/// line documenting the sampling:
+/// O(cap) at any campaign size; sampled records keep their original
+/// relative order, and one header line documents the sampling:
 ///
 /// ```json
 /// {"header":"strike_records","sampling":"reservoir","total":1000000,"written":4096,"cap":4096,"seed":61453}
 /// ```
 ///
-/// Sampled records keep their original relative order. `cap: None` is
-/// byte-identical to [`write_strike_records`] (no header line) — existing
-/// consumers see no change.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_strike_records_capped<W: std::io::Write>(
-    records: &[StrikeRecord],
-    cap: Option<usize>,
-    seed: u64,
-    w: &mut W,
-) -> std::io::Result<()> {
-    let Some(cap) = cap else {
-        return write_strike_records(records, w);
-    };
-    let mut reservoir = turnpike_metrics::Reservoir::new(cap, seed);
-    for i in 0..records.len() {
-        reservoir.offer(i);
-    }
-    let mut kept = reservoir.into_sample();
-    kept.sort_unstable();
-    writeln!(
-        w,
-        "{{\"header\":\"strike_records\",\"sampling\":\"reservoir\",\"total\":{},\
-         \"written\":{},\"cap\":{},\"seed\":{}}}",
-        records.len(),
-        kept.len(),
-        cap,
-        seed
-    )?;
-    for i in kept {
-        writeln!(w, "{}", records[i].to_json())?;
-    }
-    Ok(())
-}
-
-/// [`write_strike_records_capped`] to a file at `path`, creating missing
-/// parent directories like [`write_strike_records_to_path`].
-///
 /// # Errors
 ///
 /// Propagates directory-creation and write failures.
-pub fn write_strike_records_capped_to_path<P: AsRef<std::path::Path>>(
+pub fn write_strike_records<P: AsRef<std::path::Path>>(
     records: &[StrikeRecord],
     cap: Option<usize>,
     seed: u64,
@@ -373,13 +302,36 @@ pub fn write_strike_records_capped_to_path<P: AsRef<std::path::Path>>(
         }
     }
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_strike_records_capped(records, cap, seed, &mut w)?;
-    std::io::Write::flush(&mut w)
+    let kept: Vec<usize> = match cap {
+        None => (0..records.len()).collect(),
+        Some(cap) => {
+            let mut reservoir = turnpike_metrics::Reservoir::new(cap, seed);
+            for i in 0..records.len() {
+                reservoir.offer(i);
+            }
+            let mut kept = reservoir.into_sample();
+            kept.sort_unstable();
+            writeln!(
+                w,
+                "{{\"header\":\"strike_records\",\"sampling\":\"reservoir\",\"total\":{},\
+                 \"written\":{},\"cap\":{},\"seed\":{}}}",
+                records.len(),
+                kept.len(),
+                cap,
+                seed
+            )?;
+            kept
+        }
+    };
+    for i in kept {
+        writeln!(w, "{}", records[i].to_json())?;
+    }
+    w.flush()
 }
 
 /// Caller hooks into a running campaign: cooperative cancellation plus a
 /// per-run progress callback. The default hook (`CampaignHook::default()`)
-/// is inert, and every non-hooked entry point uses it.
+/// is inert, and [`fault_campaign_forked`] uses it.
 ///
 /// Cancellation is checked once per injected run, so a campaign stops
 /// within one simulation of the flag being raised. A canceled campaign
@@ -606,16 +558,13 @@ fn run_seed(seed: u64, run_index: u64) -> u64 {
 }
 
 /// The fault plan of one campaign run, a pure function of the campaign
-/// seed, the run index, and the fault-free horizon.
-fn plan_for_run(
-    config: &CampaignConfig,
-    spec: &RunSpec,
-    run_index: usize,
-    horizon: u64,
-) -> FaultPlan {
+/// seed, the run index, and the fault-free horizon. Detection latencies
+/// are drawn in `1..=wcdl`, where `wcdl` is the window the core validates
+/// plans against (the derived [`SimConfig`]'s, which the baseline pins).
+fn plan_for_run(config: &CampaignConfig, wcdl: u64, run_index: usize, horizon: u64) -> FaultPlan {
     let s = run_seed(config.seed, run_index as u64);
     let mut rng = StdRng::seed_from_u64(s);
-    let mut sampler = StrikeSampler::new(s ^ 0x5eed, spec.wcdl);
+    let mut sampler = StrikeSampler::new(s ^ 0x5eed, wcdl);
     let mut faults = Vec::with_capacity(config.strikes_per_run);
     for _ in 0..config.strikes_per_run {
         let strike = sampler.sample(horizon);
@@ -646,65 +595,20 @@ fn watchdog_for(horizon: u64) -> u64 {
     horizon.saturating_mul(8).saturating_add(65_536)
 }
 
-/// Run a fault-injection campaign serially (equivalent to
-/// [`fault_campaign_par`] with one thread).
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-) -> Result<CampaignReport, RunError> {
-    fault_campaign_par(program, spec, config, 1)
-}
-
-/// Run a fault-injection campaign on up to `threads` worker threads.
+/// Run a fault-injection campaign on up to `threads` worker threads,
+/// returning the report, one [`StrikeRecord`] per injected strike in
+/// deterministic `(run, strike)` order (the stream behind the campaign
+/// JSONL output), and the campaign's [`ForkStats`].
 ///
 /// The kernel is compiled once; each run derives its fault plan from
-/// `(seed, run_index)` and simulates independently, so the report is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign_par(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-) -> Result<CampaignReport, RunError> {
-    fault_campaign_records(program, spec, config, threads).map(|(report, _)| report)
-}
-
-/// Like [`fault_campaign_par`], additionally returning one [`StrikeRecord`]
-/// per injected strike in deterministic `(run, strike)` order — the stream
-/// behind the campaign JSONL output.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign_records(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-) -> Result<(CampaignReport, Vec<StrikeRecord>), RunError> {
-    fault_campaign_forked(program, spec, config, threads).map(|(report, recs, _)| (report, recs))
-}
-
-/// Like [`fault_campaign_records`], additionally returning the campaign's
-/// [`ForkStats`].
-///
-/// When the spec's [`SimConfig::snapshot_interval`](turnpike_sim::SimConfig)
-/// is set, the fault-free golden run captures prefix snapshots and every
-/// strike run forks from the latest snapshot strictly before its earliest
-/// strike instead of re-executing the fault-free prefix. Report and records
-/// are bit-identical either way — the
-/// [`CoreSnapshot`](turnpike_sim::CoreSnapshot) determinism contract
-/// guarantees the resumed run reproduces the from-scratch one, stats
-/// included.
+/// `(seed, run_index)` and simulates independently, so the output is
+/// identical for every thread count. When the spec's
+/// [`SimConfig::snapshot_interval`] is set, the fault-free golden run
+/// captures prefix snapshots and every strike run forks from the latest
+/// snapshot strictly before its earliest strike instead of re-executing the
+/// fault-free prefix. Report and records are bit-identical either way — the
+/// [`CoreSnapshot`] determinism contract guarantees the resumed run
+/// reproduces the from-scratch one, stats included.
 ///
 /// # Errors
 ///
@@ -715,27 +619,44 @@ pub fn fault_campaign_forked(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<(CampaignReport, Vec<StrikeRecord>, ForkStats), RunError> {
-    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default())
+    fault_campaign_shard_hooked(program, spec, config, threads, CampaignHook::default(), 0)
 }
 
-/// Like [`fault_campaign_forked`] with a caller-provided [`CampaignHook`]:
-/// the long-lived serving layer uses this to cancel timed-out campaign jobs
-/// and stream per-run progress back to clients. With the default hook this
-/// is exactly [`fault_campaign_forked`] — hooks never change the report.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted), and
-/// returns [`RunError::Canceled`] if the hook's cancel flag is raised before
-/// the last injected run completes.
-pub fn fault_campaign_hooked(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-    hook: CampaignHook<'_>,
-) -> Result<(CampaignReport, Vec<StrikeRecord>, ForkStats), RunError> {
-    fault_campaign_shard_hooked(program, spec, config, threads, hook, 0)
+/// One strike run on the fastest path that provably reproduces the
+/// from-scratch run: fork from the latest golden snapshot strictly before
+/// the plan's earliest strike (every strike then lands strictly after the
+/// fork point, which is exactly the snapshot determinism contract; the
+/// snapshots are in ascending cycle order), dispatch through the shared
+/// superblock translation once the run goes quiet, and stop at the first
+/// provable reconvergence with the golden run. Returns the outcome and the
+/// fork cycle, if the run forked.
+fn strike_run(
+    program: &MachProgram,
+    sc: &SimConfig,
+    snapshots: &[CoreSnapshot],
+    translation: Option<&Arc<Translation>>,
+    guide: Option<&ReplayGuide<'_>>,
+    plan: &FaultPlan,
+) -> (Result<SimOutcome, SimError>, Option<u64>) {
+    let fork_point = plan
+        .faults()
+        .iter()
+        .map(|f| f.strike_cycle)
+        .min()
+        .and_then(|first| snapshots.iter().take_while(|s| s.cycle() < first).last());
+    let mut core = match fork_point {
+        Some(snap) => Core::from_snapshot(program, snap),
+        None => Core::new(program, sc.clone()),
+    };
+    if let Some(tr) = translation {
+        core.attach_translation(Arc::clone(tr));
+    }
+    let outcome = core.run(RunOpts {
+        faults: plan,
+        snapshots: None,
+        replay: guide,
+    });
+    (outcome, fork_point.map(CoreSnapshot::cycle))
 }
 
 /// Execute one *shard* of a campaign: the runs at global indices
@@ -750,10 +671,12 @@ pub fn fault_campaign_hooked(
 /// reproduces the unsharded report bit for bit. The distributed
 /// coordinator in the bench harness is built on this contract.
 ///
-/// `offset == 0` with `config.runs` covering the whole campaign is
-/// exactly [`fault_campaign_hooked`]. Sequential stopping
-/// ([`StopRule::CiWidth`]) is a whole-campaign decision and has no
-/// meaning per shard; sharded callers use [`StopRule::Fixed`].
+/// `hook` lets a caller cancel the campaign and observe per-run progress
+/// (the long-lived serving layer streams it to clients); hooks never change
+/// the report. `offset == 0` with `config.runs` covering the whole
+/// campaign and the default hook is exactly [`fault_campaign_forked`].
+/// Sequential stopping ([`StopRule::CiWidth`]) is a whole-campaign decision
+/// and has no meaning per shard; sharded callers use [`StopRule::Fixed`].
 ///
 /// # Errors
 ///
@@ -772,21 +695,18 @@ pub fn fault_campaign_shard_hooked(
     if hook.canceled() {
         return Err(RunError::Canceled);
     }
-    let (golden, snapshots) = match spec.sim_config().snapshot_interval {
-        Some(interval) => {
-            run_compiled_collecting_snapshots(&compiled, spec, &FaultPlan::none(), interval)?
-        }
-        None => (
-            run_compiled_with_faults(&compiled, spec, &FaultPlan::none())?,
-            Vec::new(),
-        ),
-    };
+    let sc = spec.sim_config();
+    let mut snapshots = Vec::new();
+    let golden = Core::new(&compiled.program, sc.clone()).run(RunOpts {
+        snapshots: sc.snapshot_interval.zip(Some(&mut snapshots)),
+        ..RunOpts::default()
+    })?;
+    let golden = RunResult::assemble(&compiled, golden);
     // Shared accelerations, built once for the whole campaign: the
     // superblock pre-decode of the compiled program (when the scheme's sim
     // config enables translation) and the early-exit replay guide over the
     // golden run's snapshots. Neither changes any simulated outcome.
-    let translation = spec
-        .sim_config()
+    let translation = sc
         .translate
         .then(|| Arc::new(Translation::new(&compiled.program)));
     let guide = (config.early_exit && !snapshots.is_empty())
@@ -820,34 +740,23 @@ pub fn fault_campaign_shard_hooked(
         // `i` is the *global* run index (shard offset included): the plan,
         // and with it the run's outcome, must be the one the unsharded
         // campaign would compute at this index.
-        let plan = plan_for_run(config, spec, i, horizon);
-        // Fork from the latest snapshot strictly before the run's earliest
-        // strike (snapshots are in capture order, i.e. ascending cycles):
-        // every strike then lands strictly after the fork point, which is
-        // exactly the snapshot determinism contract.
-        let fork_point = plan
-            .faults()
-            .iter()
-            .map(|f| f.strike_cycle)
-            .min()
-            .and_then(|first| snapshots.iter().take_while(|s| s.cycle() < first).last());
-        let forked_at = fork_point.map(|s| s.cycle());
-        let out = match fork_point {
-            Some(snap) => {
-                resume_compiled_replay(&compiled, snap, &plan, translation.clone(), guide.as_ref())
-            }
-            None => {
-                run_compiled_replay(&compiled, spec, &plan, translation.clone(), guide.as_ref())
-            }
-        };
+        let plan = plan_for_run(config, sc.wcdl, i, horizon);
+        let (out, forked_at) = strike_run(
+            &compiled.program,
+            &sc,
+            &snapshots,
+            translation.as_ref(),
+            guide.as_ref(),
+            &plan,
+        );
         // A watchdog abort is a campaign outcome (the strike hung the
         // program), not an infrastructure failure. Both the forked and the
         // from-scratch path clamp to the same absolute cycle bound, so the
         // classification is identical either way.
         let out = match out {
-            Ok(r) => Ok((Some(r), forked_at)),
-            Err(RunError::Sim(SimError::CycleLimit(_))) => Ok((None, forked_at)),
-            Err(e) => Err(e),
+            Ok(o) => Ok((Some(RunResult::assemble(&compiled, o)), forked_at)),
+            Err(SimError::CycleLimit(_)) => Ok((None, forked_at)),
+            Err(e) => Err(RunError::Sim(e)),
         };
         if let Ok((run, _)) = &out {
             // Outcome tallies land before the release bump so any snapshot
@@ -879,7 +788,7 @@ pub fn fault_campaign_shard_hooked(
                 run?,
                 &golden,
                 config,
-                spec,
+                sc.wcdl,
                 horizon,
                 &mut report,
                 &mut fork,
@@ -921,7 +830,7 @@ fn fold_run(
     run: (Option<RunResult>, Option<u64>),
     golden: &RunResult,
     config: &CampaignConfig,
-    spec: &RunSpec,
+    wcdl: u64,
     horizon: u64,
     report: &mut CampaignReport,
     fork: &mut ForkStats,
@@ -939,7 +848,7 @@ fn fold_run(
         // Watchdog abort: the run hung. Every strike of the run is
         // classified as a hang; there is no final state to audit.
         report.hangs += 1;
-        let plan = plan_for_run(config, spec, i, horizon);
+        let plan = plan_for_run(config, wcdl, i, horizon);
         for (k, f) in plan.faults().iter().enumerate() {
             records.push(StrikeRecord {
                 run: i,
@@ -985,7 +894,7 @@ fn fold_run(
     // strikes by cycle are the ones that landed in-run and the rest hit
     // after completion; an SDC verdict is attributed to every strike of
     // the run, since nothing observed which one corrupted the state.
-    let plan = plan_for_run(config, spec, i, horizon);
+    let plan = plan_for_run(config, wcdl, i, horizon);
     let mut order: Vec<usize> = (0..plan.faults().len()).collect();
     order.sort_by_key(|&k| plan.faults()[k].strike_cycle);
     let detections = run.outcome.stats.detections;
@@ -1032,7 +941,7 @@ mod tests {
             (Suite::Splash3, "radix"),
         ] {
             let p = kernel(suite, name);
-            let report = fault_campaign(
+            let report = fault_campaign_forked(
                 &p,
                 &RunSpec::new(Scheme::Turnpike),
                 &CampaignConfig {
@@ -1041,8 +950,10 @@ mod tests {
                     strikes_per_run: 1,
                     ..Default::default()
                 },
+                1,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(report.sdc_free(), "{name}: {report:?}");
             assert!(report.detections > 0, "{name}: no strike landed in-run");
         }
@@ -1051,7 +962,7 @@ mod tests {
     #[test]
     fn turnstile_is_sdc_free_too() {
         let p = kernel(Suite::Cpu2006, "libquan");
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &p,
             &RunSpec::new(Scheme::Turnstile),
             &CampaignConfig {
@@ -1060,15 +971,34 @@ mod tests {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.sdc_free(), "{report:?}");
+    }
+
+    #[test]
+    fn baseline_campaign_completes_at_any_wcdl() {
+        // The baseline core keeps its own 10-cycle WCDL whatever the spec
+        // asks for; latencies drawn past it would be rejected as a bad
+        // plan and fail the whole campaign.
+        let p = kernel(Suite::Cpu2006, "bwaves");
+        let cfg = CampaignConfig {
+            runs: 16,
+            seed: 3,
+            strikes_per_run: 1,
+            ..Default::default()
+        };
+        let spec = RunSpec::new(Scheme::Baseline).with_wcdl(50);
+        let report = fault_campaign_forked(&p, &spec, &cfg, 1).unwrap().0;
+        assert_eq!(report.runs, 16);
     }
 
     #[test]
     fn multiple_strikes_per_run_still_recover() {
         let p = kernel(Suite::Cpu2006, "leslie3d");
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -1077,8 +1007,10 @@ mod tests {
                 strikes_per_run: 3,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.sdc_free(), "{report:?}");
         assert!(report.recoveries >= report.runs as u64 / 2);
     }
@@ -1092,8 +1024,12 @@ mod tests {
             strikes_per_run: 1,
             ..Default::default()
         };
-        let a = fault_campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg).unwrap();
-        let b = fault_campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg).unwrap();
+        let a = fault_campaign_forked(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1)
+            .unwrap()
+            .0;
+        let b = fault_campaign_forked(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1)
+            .unwrap()
+            .0;
         assert_eq!(a, b);
     }
 
@@ -1107,9 +1043,9 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let serial = fault_campaign(&p, &spec, &cfg).unwrap();
+        let serial = fault_campaign_forked(&p, &spec, &cfg, 1).unwrap().0;
         for threads in [2, 4, 8] {
-            let par = fault_campaign_par(&p, &spec, &cfg, threads).unwrap();
+            let par = fault_campaign_forked(&p, &spec, &cfg, threads).unwrap().0;
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -1118,7 +1054,7 @@ mod tests {
     fn report_metrics_agree_with_fixed_fields() {
         use turnpike_metrics::Counter;
         let p = kernel(Suite::Cpu2006, "bwaves");
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -1127,8 +1063,10 @@ mod tests {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let m = &report.metrics;
         assert_eq!(m.counter(Counter::CampaignRuns), report.runs as u64);
         assert_eq!(m.counter(Counter::CampaignSdc), report.sdc as u64);
@@ -1152,7 +1090,7 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let (report, records) = fault_campaign_records(&p, &spec, &cfg, 1).unwrap();
+        let (report, records, _) = fault_campaign_forked(&p, &spec, &cfg, 1).unwrap();
         assert_eq!(records.len(), cfg.runs * cfg.strikes_per_run);
         // Deterministic (run, strike-by-cycle) order.
         for w in records.windows(2) {
@@ -1170,8 +1108,21 @@ mod tests {
         assert_eq!(post, report.post_completion);
         assert!(records.iter().all(|r| r.outcome != StrikeOutcome::Sdc));
         // Parallel production is byte-identical.
-        let (_, records4) = fault_campaign_records(&p, &spec, &cfg, 4).unwrap();
+        let (_, records4, _) = fault_campaign_forked(&p, &spec, &cfg, 4).unwrap();
         assert_eq!(records, records4);
+    }
+
+    /// Write `records` through [`write_strike_records`] to a scratch file
+    /// unique to `name` and return its contents.
+    fn written(name: &str, records: &[StrikeRecord], cap: Option<usize>, seed: u64) -> String {
+        let path = std::env::temp_dir().join(format!(
+            "turnpike-strikes-{name}-{}.jsonl",
+            std::process::id()
+        ));
+        write_strike_records(records, cap, seed, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        text
     }
 
     #[test]
@@ -1190,9 +1141,7 @@ mod tests {
             "{\"run\":3,\"strike\":0,\"strike_cycle\":120,\"detect_latency\":7,\
              \"recovery_cycles\":42,\"detections\":1,\"outcome\":\"recovered\"}"
         );
-        let mut buf = Vec::new();
-        write_strike_records(&[r.clone(), r], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = written("stable", &[r.clone(), r], None, 0);
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with('\n'));
     }
@@ -1215,14 +1164,13 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("deep/nested/strikes.jsonl");
-        write_strike_records_to_path(&[r.clone(), r], &path).unwrap();
+        write_strike_records(&[r.clone(), r], None, 0, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("{\"run\":0,"));
-        // A bare filename (no parent component) must also work.
-        let mut bare = Vec::new();
-        write_strike_records(&[], &mut bare).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+        // No records, no cap: an empty file.
+        assert_eq!(written("empty", &[], None, 0), "");
     }
 
     #[test]
@@ -1249,7 +1197,7 @@ mod tests {
             on_run: Some(&on_run),
             ..CampaignHook::default()
         };
-        let hooked = fault_campaign_hooked(&p, &spec, &cfg, 2, hook).unwrap();
+        let hooked = fault_campaign_shard_hooked(&p, &spec, &cfg, 2, hook, 0).unwrap();
         assert_eq!(plain, hooked, "hooks must not change the report");
         assert_eq!(calls.load(Ordering::Relaxed), 6);
         assert_eq!(peak.load(Ordering::Relaxed), 6);
@@ -1270,8 +1218,9 @@ mod tests {
             on_run: None,
             ..CampaignHook::default()
         };
-        let err = fault_campaign_hooked(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1, hook)
-            .expect_err("pre-raised cancel flag");
+        let err =
+            fault_campaign_shard_hooked(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1, hook, 0)
+                .expect_err("pre-raised cancel flag");
         assert_eq!(err, RunError::Canceled);
     }
 
@@ -1288,7 +1237,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let report = fault_campaign_par(&p, &spec, &cfg, 2).unwrap();
+        let report = fault_campaign_forked(&p, &spec, &cfg, 2).unwrap().0;
         // Turnpike is SDC-free, so the Wilson interval on 0/n tightens
         // past 0.06 at the second chunk boundary — well before the cap.
         assert_eq!(report.runs, 2 * STOP_CHUNK, "{report:?}");
@@ -1299,7 +1248,7 @@ mod tests {
         // The executed-run set is a function of the config alone: any
         // thread count stops at the same boundary with the same report.
         for threads in [1, 4] {
-            let again = fault_campaign_par(&p, &spec, &cfg, threads).unwrap();
+            let again = fault_campaign_forked(&p, &spec, &cfg, threads).unwrap().0;
             assert_eq!(report, again, "threads={threads}");
         }
         // The campaign counters reflect the runs actually executed.
@@ -1316,7 +1265,7 @@ mod tests {
             },
             ..cfg
         };
-        let report = fault_campaign_par(&p, &spec, &capped, 2).unwrap();
+        let report = fault_campaign_forked(&p, &spec, &capped, 2).unwrap().0;
         assert_eq!(report.runs, 8);
     }
 
@@ -1340,7 +1289,7 @@ mod tests {
             progress_every: 2,
             ..CampaignHook::default()
         };
-        let hooked = fault_campaign_hooked(&p, &spec, &cfg, 2, hook).unwrap();
+        let hooked = fault_campaign_shard_hooked(&p, &spec, &cfg, 2, hook, 0).unwrap();
         assert_eq!(
             plain, hooked,
             "progress snapshots must not change the report"
@@ -1380,22 +1329,17 @@ mod tests {
             strikes_per_run: 2,
             ..Default::default()
         };
-        let (_, records) =
-            fault_campaign_records(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1).unwrap();
+        let (_, records, _) =
+            fault_campaign_forked(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1).unwrap();
         assert_eq!(records.len(), 12);
-        // Uncapped via the capped entry point is byte-identical to the
-        // plain writer — no header, no sampling.
-        let mut plain = Vec::new();
-        write_strike_records(&records, &mut plain).unwrap();
-        let mut uncapped = Vec::new();
-        write_strike_records_capped(&records, None, 0, &mut uncapped).unwrap();
-        assert_eq!(plain, uncapped);
+        // Uncapped output is the plain record stream — no header, no
+        // sampling.
+        let plain: String = records.iter().map(|r| r.to_json() + "\n").collect();
+        assert_eq!(written("uncapped", &records, None, 0), plain);
         // Capped output: one header line documenting the sampling, then
         // `cap` records in original order, reproducible for a seed.
-        let mut capped = Vec::new();
-        write_strike_records_capped(&records, Some(5), 99, &mut capped).unwrap();
-        let text = String::from_utf8(capped.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let capped = written("capped", &records, Some(5), 99);
+        let lines: Vec<&str> = capped.lines().collect();
         assert_eq!(lines.len(), 6);
         assert_eq!(
             lines[0],
@@ -1409,13 +1353,9 @@ mod tests {
             assert!(pos >= last_pos, "sampled records keep original order");
             last_pos = pos;
         }
-        let mut again = Vec::new();
-        write_strike_records_capped(&records, Some(5), 99, &mut again).unwrap();
-        assert_eq!(capped, again);
+        assert_eq!(capped, written("again", &records, Some(5), 99));
         // A cap at or above the population writes everything.
-        let mut all = Vec::new();
-        write_strike_records_capped(&records, Some(64), 99, &mut all).unwrap();
-        let all = String::from_utf8(all).unwrap();
+        let all = written("all", &records, Some(64), 99);
         assert_eq!(all.lines().count(), 13);
         assert!(all.contains("\"written\":12,\"cap\":64"));
     }

@@ -11,9 +11,7 @@
 
 use turnpike_compiler::{compile, ProtectionPolicy};
 use turnpike_isa::ProtectionMode;
-use turnpike_resilience::{
-    fault_campaign_forked, fault_campaign_records, CampaignConfig, RunSpec, Scheme, StrikeOutcome,
-};
+use turnpike_resilience::{fault_campaign_forked, CampaignConfig, RunSpec, Scheme, StrikeOutcome};
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
 
 fn program(name: &str) -> turnpike_ir::Program {
@@ -68,7 +66,7 @@ fn fully_unprotected_regions_never_detect_or_recover() {
     let prog = program("bwaves");
     let spec = RunSpec::new(Scheme::Turnpike)
         .with_policy(ProtectionPolicy::ForceUniform(ProtectionMode::Unprotected));
-    let (report, records) = fault_campaign_records(&prog, &spec, &config(), 2).unwrap();
+    let (report, records, _) = fault_campaign_forked(&prog, &spec, &config(), 2).unwrap();
     assert_eq!(report.runs, config().runs);
     assert_eq!(
         report.detections, 0,
@@ -92,7 +90,7 @@ fn protected_regions_recover_across_mode_boundaries() {
     for name in ["zeusmp", "leslie3d", "gemsfdtd"] {
         let prog = program(name);
         let spec = RunSpec::new(Scheme::Adaptive);
-        let (report, records) = fault_campaign_records(&prog, &spec, &config(), 2).unwrap();
+        let (report, records, _) = fault_campaign_forked(&prog, &spec, &config(), 2).unwrap();
         assert!(report.detections > 0, "{name}: protected regions detect");
         assert!(report.recoveries > 0, "{name}: protected regions recover");
         assert!(

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use turnpike_compiler::ProtectionPolicy;
 use turnpike_isa::ProtectionMode;
-use turnpike_resilience::{fault_campaign_records, CampaignConfig, RunSpec, Scheme};
+use turnpike_resilience::{fault_campaign_forked, CampaignConfig, RunSpec, Scheme};
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
 
 fn program(name: &str) -> turnpike_ir::Program {
@@ -41,8 +41,8 @@ fn force_uniform_matches_plain_scheme_at_every_thread_count() {
             .clone()
             .with_policy(ProtectionPolicy::ForceUniform(mode));
         for threads in [1usize, 2, 4] {
-            let (pr, precs) = fault_campaign_records(&prog, &plain, &config(), threads).unwrap();
-            let (fr, frecs) = fault_campaign_records(&prog, &forced, &config(), threads).unwrap();
+            let (pr, precs, _) = fault_campaign_forked(&prog, &plain, &config(), threads).unwrap();
+            let (fr, frecs, _) = fault_campaign_forked(&prog, &forced, &config(), threads).unwrap();
             assert_eq!(pr, fr, "{scheme} vs forced {mode:?} at {threads} threads");
             assert_eq!(precs, frecs, "{scheme} records at {threads} threads");
         }
@@ -66,8 +66,8 @@ proptest! {
         let forced = plain
             .clone()
             .with_policy(ProtectionPolicy::ForceUniform(ProtectionMode::Turnpike));
-        let (pr, precs) = fault_campaign_records(&prog, &plain, &cfg, 2).unwrap();
-        let (fr, frecs) = fault_campaign_records(&prog, &forced, &cfg, 2).unwrap();
+        let (pr, precs, _) = fault_campaign_forked(&prog, &plain, &cfg, 2).unwrap();
+        let (fr, frecs, _) = fault_campaign_forked(&prog, &forced, &cfg, 2).unwrap();
         prop_assert_eq!(pr, fr);
         prop_assert_eq!(precs, frecs);
     }

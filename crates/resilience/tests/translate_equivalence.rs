@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use turnpike_compiler::compile;
 use turnpike_resilience::{RunSpec, Scheme};
-use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimOutcome, Translation};
+use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, RunOpts, SimOutcome, Translation};
 use turnpike_workloads::{all_kernels, Scale};
 
 /// Fault-free outcome of one compiled kernel, interpreter or superblocks.
@@ -30,7 +30,7 @@ fn golden(
         // Shared pre-decoded translation, as campaigns attach it.
         core.attach_translation(Arc::new(Translation::new(&compiled.program)));
     }
-    core.run().unwrap()
+    core.run(RunOpts::default()).unwrap()
 }
 
 #[test]
@@ -92,7 +92,7 @@ proptest! {
             if translate {
                 core.attach_translation(Arc::new(Translation::new(&compiled.program)));
             }
-            core.run_with_faults(&plan).unwrap()
+            core.run(RunOpts { faults: &plan, ..RunOpts::default() }).unwrap()
         };
         prop_assert_eq!(run(false), run(true), "{} {}: strike run diverges", k.name, scheme);
     }
@@ -119,7 +119,10 @@ proptest! {
             if translate {
                 core.attach_translation(Arc::new(Translation::new(&compiled.program)));
             }
-            core.run_collecting_snapshots(&FaultPlan::none(), interval).unwrap()
+            let mut snaps = Vec::new();
+            let opts = RunOpts { snapshots: Some((interval, &mut snaps)), ..RunOpts::default() };
+            let out = core.run(opts).unwrap();
+            (out, snaps)
         };
         let (out_i, snaps_i) = run(false);
         let (out_t, snaps_t) = run(true);
@@ -134,8 +137,8 @@ proptest! {
         for (a, b) in snaps_i.iter().zip(&snaps_t).take(1).chain(
             snaps_i.iter().zip(&snaps_t).last(),
         ) {
-            let ra = Core::resume(&compiled.program, a, &FaultPlan::none()).unwrap();
-            let rb = Core::resume(&compiled.program, b, &FaultPlan::none()).unwrap();
+            let ra = Core::from_snapshot(&compiled.program, a).run(RunOpts::default()).unwrap();
+            let rb = Core::from_snapshot(&compiled.program, b).run(RunOpts::default()).unwrap();
             prop_assert_eq!(ra, rb, "{}: resumed outcomes diverge", k.name);
         }
     }

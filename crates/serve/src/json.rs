@@ -93,6 +93,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -121,9 +122,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so without a bound one hostile line of brackets (well
+/// under the wire's line cap) overflows the stack and aborts the process;
+/// no document this workspace exchanges nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -164,8 +173,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -173,6 +182,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one container with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -389,6 +412,18 @@ mod tests {
         for bad in ["", "{", "{\"a\"}", "[1,]", "tru", "\"open", "1 2", "{]"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

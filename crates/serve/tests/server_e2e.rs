@@ -149,6 +149,28 @@ fn malformed_requests_get_error_events_without_killing_the_connection() {
     server.shutdown();
 }
 
+#[test]
+fn deeply_nested_line_gets_an_error_and_the_server_keeps_serving() {
+    let (server, _exec) = start(ServerConfig::default(), MockExec::instant());
+    use std::io::{BufRead, BufReader, Write};
+    // A million brackets fit under the wire's line cap; unbounded recursive
+    // descent over them overflows the stack and aborts the whole process.
+    let mut hostile = "[".repeat(1_000_000).into_bytes();
+    hostile.push(b'\n');
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&hostile).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"event\":\"error\""), "{line}");
+    assert!(line.contains("nesting"), "{line}");
+    // A normal job on a fresh connection still completes.
+    let mut client = Client::connect(server.addr()).unwrap();
+    let outcome = client.submit(&JobRequest::new(JobKind::Run)).unwrap();
+    assert!(matches!(outcome, Outcome::Done { .. }), "{outcome:?}");
+    server.shutdown();
+}
+
 /// Satellite: fill the queue past capacity, assert typed `overloaded`
 /// rejections, then drain and check that every *accepted* job completes —
 /// no loss, no duplicates.

@@ -28,7 +28,7 @@ use crate::mem::PagedMem;
 use crate::rbb::Rbb;
 use crate::stats::{SimHists, SimStats};
 use crate::store_buffer::{EntryKind, SbEntry, StoreBuffer};
-use crate::trace::{StallKind, Trace, TraceEvent, TraceSink};
+use crate::trace::{StallKind, TraceEvent, TraceSink};
 use crate::translate::{DAddr, DKind, DOperand, Translation};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -110,8 +110,8 @@ pub struct ReplayGuide<'g> {
 }
 
 impl<'g> ReplayGuide<'g> {
-    /// Index `snapshots` (from the golden
-    /// [`Core::run_collecting_snapshots`] run) for early-exit probing.
+    /// Index `snapshots` (captured by the golden run through
+    /// [`RunOpts::snapshots`]) for early-exit probing.
     /// `golden_stats`/`golden_ret` come from the same run's outcome.
     pub fn new(
         snapshots: &'g [CoreSnapshot],
@@ -127,6 +127,39 @@ impl<'g> ReplayGuide<'g> {
             golden_stats,
             golden_ret,
             by_pc,
+        }
+    }
+}
+
+/// The inputs of one [`Core::run`] besides the start state.
+/// `RunOpts::default()` is a plain fault-free run.
+#[derive(Debug)]
+pub struct RunOpts<'o> {
+    /// Strikes to inject, plus the plan's optional watchdog.
+    pub faults: &'o FaultPlan,
+    /// `Some((interval, out))` captures a [`CoreSnapshot`] roughly every
+    /// `interval` cycles into `out`, replacing its contents. Capture
+    /// happens at the top of the issue loop, so the event-skip clock may
+    /// overshoot a capture point; past 128 live snapshots every other one
+    /// is dropped and the interval doubles, deterministically. Intended
+    /// for fault-free golden runs: campaigns fork each strike run from the
+    /// latest snapshot strictly before its first strike.
+    pub snapshots: Option<(u64, &'o mut Vec<CoreSnapshot>)>,
+    /// Early-exit guide: once the strike run's detection window has
+    /// closed, its state is probed against the guide's golden snapshots and
+    /// the run stops at the first provable reconvergence (see
+    /// [`SimOutcome::replay_saved`]).
+    pub replay: Option<&'o ReplayGuide<'o>>,
+}
+
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
+impl Default for RunOpts<'_> {
+    fn default() -> Self {
+        RunOpts {
+            faults: &NO_FAULTS,
+            snapshots: None,
+            replay: None,
         }
     }
 }
@@ -258,8 +291,8 @@ pub struct Core<'a> {
     /// path, which recomputes it. Derived state: mutation sites that end a
     /// region or rebuild the RBB/SB reset it to 0.
     settle_due: u64,
-    /// Snapshot cadence in cycles; 0 disables capture (every run except
-    /// [`Core::run_collecting_snapshots`]). Doubles when thinning kicks in.
+    /// Snapshot cadence in cycles; 0 disables capture (every run without
+    /// [`RunOpts::snapshots`]). Doubles when thinning kicks in.
     snap_every: u64,
     /// Next cycle at or after which a snapshot is captured.
     next_snap: u64,
@@ -278,8 +311,8 @@ pub struct Core<'a> {
 }
 
 /// Full microarchitectural state of a [`Core`] at the top of an issue-loop
-/// iteration, captured by [`Core::run_collecting_snapshots`] and resumed by
-/// [`Core::resume`].
+/// iteration, captured through [`RunOpts::snapshots`] and resumed by
+/// [`Core::from_snapshot`].
 ///
 /// Cloning is cheap: the functional memories share pages copy-on-write
 /// ([`PagedMem`]), and everything else is flat data. Snapshots are
@@ -293,9 +326,10 @@ pub struct Core<'a> {
 /// after `C`: before the first strike `S`, no fault has fired, and the
 /// detection bound `min(strike + latency) >= S > C` never clamps a
 /// settle or redirects a stall, so the pre-strike state is identical to
-/// the fault-free prefix. [`Core::resume`] with such a plan therefore
-/// reproduces the from-scratch faulty run bit-for-bit — stats included,
-/// because the snapshot carries the prefix's stats and histograms.
+/// the fault-free prefix. [`Core::run`] from [`Core::from_snapshot`] with
+/// such a plan therefore reproduces the from-scratch faulty run
+/// bit-for-bit — stats included, because the snapshot carries the prefix's
+/// stats and histograms.
 #[derive(Debug, Clone)]
 pub struct CoreSnapshot {
     cfg: SimConfig,
@@ -359,6 +393,10 @@ impl<'a> Core<'a> {
             build_clq(ClqKind::Off)
         };
         let hists = cfg.histograms.then(Box::<SimHists>::default);
+        // A fresh core enters the issue loop at the top of cycle 0 with the
+        // full slot budget; a snapshot carries its own (the capture point
+        // sits mid-cycle as far as slot accounting is concerned).
+        let slots_left = cfg.issue_width;
         Core {
             cfg,
             program,
@@ -380,8 +418,8 @@ impl<'a> Core<'a> {
             last_strike: None,
             pc: 0,
             cycle: 0,
-            slots_left: 0,
-            mem_left: 0,
+            slots_left,
+            mem_left: 1,
             fetch_ready: 0,
             pending_datapath: None,
             mode_flags,
@@ -438,18 +476,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Run with fault injection.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_with_faults(mut self, plan: &FaultPlan) -> Result<SimOutcome, SimError> {
-        self.start(plan)?;
-        self.run_loop()
-    }
-
-    /// Validate and install a fault plan, then arm the first issue cycle.
-    fn start(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
+    /// Validate and install a fault plan: every detection must land within
+    /// the WCDL, and the plan's watchdog clamps the cycle limit, so forked
+    /// and from-scratch runs abort a hang at the same absolute cycle.
+    fn install_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         if plan
             .faults()
             .iter()
@@ -461,110 +491,16 @@ impl<'a> Core<'a> {
             self.cfg.cycle_limit = self.cfg.cycle_limit.min(w);
         }
         self.faults = plan.faults().to_vec();
-        self.slots_left = self.cfg.issue_width;
-        self.mem_left = 1;
         Ok(())
     }
 
-    /// Run with fault injection, capturing a [`CoreSnapshot`] roughly every
-    /// `interval` cycles (at the top of the issue loop, so the event-skip
-    /// clock may overshoot a capture point; the next loop iteration takes
-    /// it). Snapshot count is bounded: past 128 live snapshots every other
-    /// one is dropped and the interval doubles, deterministically.
+    /// Rebuild the core `snap` captured, ready to continue `program`.
     ///
-    /// Intended for fault-free golden runs: fault campaigns capture the
-    /// prefix once and [`Core::resume`] each strike run from the latest
-    /// snapshot strictly before its first strike. Capture is pure
-    /// observation — the outcome is identical to [`Core::run_with_faults`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_collecting_snapshots(
-        mut self,
-        plan: &FaultPlan,
-        interval: u64,
-    ) -> Result<(SimOutcome, Vec<CoreSnapshot>), SimError> {
-        self.start(plan)?;
-        self.snap_every = interval.max(1);
-        self.next_snap = self.snap_every;
-        let outcome = self.run_loop()?;
-        Ok((outcome, std::mem::take(&mut self.snapshots)))
-    }
-
-    /// Continue execution from `snap` under a new fault plan.
-    ///
-    /// Per the [`CoreSnapshot`] determinism contract, the outcome is
-    /// bit-identical to running the same plan from scratch provided every
-    /// strike cycle is strictly after `snap.cycle()` (debug-asserted).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn resume(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-    ) -> Result<SimOutcome, SimError> {
-        Self::resume_translated(program, snap, plan, None)
-    }
-
-    /// [`Core::resume`] with a shared pre-built [`Translation`] of
-    /// `program` (see [`Core::attach_translation`]): fault campaigns fork
-    /// thousands of runs from one compiled program and pre-decode it once.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `translation` was built from a program of a different
-    /// length.
-    pub fn resume_translated(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-        translation: Option<Arc<Translation>>,
-    ) -> Result<SimOutcome, SimError> {
-        Self::resume_replay(program, snap, plan, translation, None)
-    }
-
-    /// [`Core::resume_translated`] with an optional early-exit
-    /// [`ReplayGuide`]: once the forked strike run's detection window has
-    /// closed, its state is probed against the guide's golden snapshots and
-    /// the run stops at the first provable reconvergence (see
-    /// [`SimOutcome::replay_saved`]). Without a guide (or when convergence
-    /// is never established) the outcome is bit-identical to
-    /// [`Core::resume_translated`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `translation` was built from a program of a different
-    /// length.
-    pub fn resume_replay(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-        translation: Option<Arc<Translation>>,
-        guide: Option<&'a ReplayGuide<'a>>,
-    ) -> Result<SimOutcome, SimError> {
-        if let Some(tr) = &translation {
-            assert_eq!(
-                tr.len(),
-                program.insts.len(),
-                "translation does not match the program"
-            );
-        }
-        debug_assert!(
-            plan.faults().iter().all(|f| f.strike_cycle > snap.cycle),
-            "fork point must lie strictly before the first strike"
-        );
-        let mut core = Core {
+    /// Per the [`CoreSnapshot`] determinism contract, [`Core::run`] from
+    /// here is bit-identical to running the same plan from scratch provided
+    /// every strike cycle is strictly after `snap.cycle()` (debug-asserted).
+    pub fn from_snapshot(program: &'a MachProgram, snap: &CoreSnapshot) -> Self {
+        Core {
             cfg: snap.cfg.clone(),
             program,
             regs: snap.regs,
@@ -596,73 +532,44 @@ impl<'a> Core<'a> {
             snap_every: 0,
             next_snap: 0,
             snapshots: Vec::new(),
-            translation,
-            replay: guide.map(|g| (g, REPLAY_BUDGET)),
-        };
-        if plan
-            .faults()
-            .iter()
-            .any(|f| f.detect_latency > core.cfg.wcdl)
-        {
-            return Err(SimError::BadFaultPlan);
+            translation: None,
+            replay: None,
         }
-        // Unlike `start`, slot budgets come from the snapshot (the capture
-        // point sits mid-cycle as far as slot accounting is concerned).
-        // The watchdog clamp matches `start` so forked and from-scratch
-        // runs abort a hang at the same absolute cycle.
-        if let Some(w) = plan.watchdog() {
-            core.cfg.cycle_limit = core.cfg.cycle_limit.min(w);
-        }
-        core.faults = plan.faults().to_vec();
-        core.run_loop()
     }
 
-    /// Run without faults.
+    /// Run the program to completion from the core's current state — fresh
+    /// ([`Core::new`]) or forked ([`Core::from_snapshot`]) — under `opts`.
+    ///
+    /// Snapshot capture is pure observation and the replay guide a pure
+    /// acceleration: the outcome is bit-identical without them, except
+    /// that an early-exited outcome reports [`SimOutcome::replay_saved`]
+    /// and carries empty memory maps.
     ///
     /// # Errors
     ///
     /// See [`SimError`].
-    pub fn run(self) -> Result<SimOutcome, SimError> {
-        self.run_with_faults(&FaultPlan::none())
-    }
-
-    /// [`Core::run_with_faults`] with an early-exit [`ReplayGuide`] — the
-    /// from-scratch analog of [`Core::resume_replay`], used by campaigns
-    /// for strike runs that land before the first golden snapshot.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_with_replay(
-        mut self,
-        plan: &FaultPlan,
-        guide: &'a ReplayGuide<'a>,
-    ) -> Result<SimOutcome, SimError> {
-        self.replay = Some((guide, REPLAY_BUDGET));
-        self.run_with_faults(plan)
-    }
-
-    /// Run with fault injection and record resilience events into an
-    /// in-memory ring buffer holding the most recent `trace_cap` events
-    /// (a convenience wrapper over [`Core::attach_sink`] with a
-    /// [`Trace`] sink).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_traced(
-        mut self,
-        plan: &FaultPlan,
-        trace_cap: usize,
-    ) -> Result<(SimOutcome, Trace), SimError> {
-        let sink = Rc::new(RefCell::new(Trace::new(trace_cap)));
-        self.attach_sink(sink.clone());
-        let outcome = self.run_with_faults(plan)?;
-        let trace = match Rc::try_unwrap(sink) {
-            Ok(cell) => cell.into_inner(),
-            Err(rc) => rc.borrow().clone(),
+    pub fn run(mut self, opts: RunOpts<'a>) -> Result<SimOutcome, SimError> {
+        let RunOpts {
+            faults,
+            snapshots,
+            replay,
+        } = opts;
+        // A fresh core starts at cycle 0, where a strike may land at once;
+        // snapshots are only ever captured at cycle 1 or later.
+        debug_assert!(
+            self.cycle == 0 || faults.faults().iter().all(|f| f.strike_cycle > self.cycle),
+            "fork point must lie strictly before the first strike"
+        );
+        self.install_faults(faults)?;
+        self.replay = replay.map(|g| (g, REPLAY_BUDGET));
+        let Some((interval, out)) = snapshots else {
+            return self.run_loop();
         };
-        Ok((outcome, trace))
+        self.snap_every = interval.max(1);
+        self.next_snap = self.cycle + self.snap_every;
+        let outcome = self.run_loop();
+        *out = std::mem::take(&mut self.snapshots);
+        outcome
     }
 
     fn run_loop(&mut self) -> Result<SimOutcome, SimError> {
@@ -2059,7 +1966,9 @@ mod tests {
     fn baseline_runs_and_matches_functional_interp() {
         let p = store_loop(false);
         let golden = turnpike_isa::interp::run(&p, &Default::default()).unwrap();
-        let out = Core::new(&p, SimConfig::baseline()).run().unwrap();
+        let out = Core::new(&p, SimConfig::baseline())
+            .run(RunOpts::default())
+            .unwrap();
         assert_eq!(out.ret, golden.ret);
         assert_eq!(out.memory, golden.memory);
         assert!(out.stats.cycles > 0);
@@ -2069,8 +1978,12 @@ mod tests {
     #[test]
     fn turnstile_matches_functionally_but_runs_slower() {
         let p = store_loop(true);
-        let base = Core::new(&p, SimConfig::baseline()).run().unwrap();
-        let ts = Core::new(&p, SimConfig::turnstile(4, 30)).run().unwrap();
+        let base = Core::new(&p, SimConfig::baseline())
+            .run(RunOpts::default())
+            .unwrap();
+        let ts = Core::new(&p, SimConfig::turnstile(4, 30))
+            .run(RunOpts::default())
+            .unwrap();
         assert_eq!(ts.ret, base.ret);
         assert_eq!(ts.memory, base.memory);
         assert!(
@@ -2086,8 +1999,12 @@ mod tests {
     #[test]
     fn turnpike_bypasses_and_beats_turnstile() {
         let p = store_loop(true);
-        let ts = Core::new(&p, SimConfig::turnstile(4, 30)).run().unwrap();
-        let tp = Core::new(&p, SimConfig::turnpike(4, 30)).run().unwrap();
+        let ts = Core::new(&p, SimConfig::turnstile(4, 30))
+            .run(RunOpts::default())
+            .unwrap();
+        let tp = Core::new(&p, SimConfig::turnpike(4, 30))
+            .run(RunOpts::default())
+            .unwrap();
         assert_eq!(tp.ret, ts.ret);
         assert_eq!(tp.memory, ts.memory);
         assert!(
@@ -2106,11 +2023,19 @@ mod tests {
     #[test]
     fn wcdl_scaling_hurts_turnstile_more() {
         let p = store_loop(true);
-        let t10 = Core::new(&p, SimConfig::turnstile(4, 10)).run().unwrap();
-        let t50 = Core::new(&p, SimConfig::turnstile(4, 50)).run().unwrap();
+        let t10 = Core::new(&p, SimConfig::turnstile(4, 10))
+            .run(RunOpts::default())
+            .unwrap();
+        let t50 = Core::new(&p, SimConfig::turnstile(4, 50))
+            .run(RunOpts::default())
+            .unwrap();
         assert!(t50.stats.cycles > t10.stats.cycles);
-        let p10 = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
-        let p50 = Core::new(&p, SimConfig::turnpike(4, 50)).run().unwrap();
+        let p10 = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(RunOpts::default())
+            .unwrap();
+        let p50 = Core::new(&p, SimConfig::turnpike(4, 50))
+            .run(RunOpts::default())
+            .unwrap();
         let ts_growth = t50.stats.cycles as f64 / t10.stats.cycles as f64;
         let tp_growth = p50.stats.cycles as f64 / p10.stats.cycles as f64;
         assert!(
@@ -2122,7 +2047,9 @@ mod tests {
     #[test]
     fn parity_fault_recovers_without_sdc() {
         let p = store_loop(true);
-        let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+        let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(RunOpts::default())
+            .unwrap();
         for cycle in [3, 10, 25, 40] {
             let plan = FaultPlan::new(vec![Fault {
                 strike_cycle: cycle,
@@ -2130,7 +2057,10 @@ mod tests {
                 kind: FaultKind::RegisterParity { reg: 1, bit: 3 },
             }]);
             let out = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(RunOpts {
+                    faults: &plan,
+                    ..RunOpts::default()
+                })
                 .unwrap();
             assert_eq!(out.ret, golden.ret, "strike at {cycle}");
             assert_eq!(out.memory, golden.memory, "strike at {cycle}");
@@ -2142,7 +2072,9 @@ mod tests {
     #[test]
     fn datapath_fault_recovers_without_sdc() {
         let p = store_loop(true);
-        let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+        let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(RunOpts::default())
+            .unwrap();
         for cycle in [2, 7, 19, 33] {
             let plan = FaultPlan::new(vec![Fault {
                 strike_cycle: cycle,
@@ -2150,7 +2082,10 @@ mod tests {
                 kind: FaultKind::Datapath { bit: 17 },
             }]);
             let out = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(RunOpts {
+                    faults: &plan,
+                    ..RunOpts::default()
+                })
                 .unwrap();
             assert_eq!(out.ret, golden.ret, "strike at {cycle}");
             assert_eq!(out.memory, golden.memory, "strike at {cycle}");
@@ -2163,14 +2098,19 @@ mod tests {
         // with this plan, does) produce a different result — the SDC that
         // the resilient configurations must never show.
         let p = store_loop(false);
-        let golden = Core::new(&p, SimConfig::baseline()).run().unwrap();
+        let golden = Core::new(&p, SimConfig::baseline())
+            .run(RunOpts::default())
+            .unwrap();
         let plan = FaultPlan::new(vec![Fault {
             strike_cycle: 4,
             detect_latency: 5,
             kind: FaultKind::RegisterParity { reg: 1, bit: 40 },
         }]);
         let out = Core::new(&p, SimConfig::baseline())
-            .run_with_faults(&plan)
+            .run(RunOpts {
+                faults: &plan,
+                ..RunOpts::default()
+            })
             .unwrap();
         assert!(
             out.memory != golden.memory || out.ret != golden.ret,
@@ -2187,7 +2127,10 @@ mod tests {
             kind: FaultKind::Datapath { bit: 1 },
         }]);
         let err = Core::new(&p, SimConfig::turnpike(4, 10))
-            .run_with_faults(&plan)
+            .run(RunOpts {
+                faults: &plan,
+                ..RunOpts::default()
+            })
             .unwrap_err();
         assert_eq!(err, SimError::BadFaultPlan);
     }
@@ -2215,7 +2158,9 @@ mod tests {
         ];
         let p = MachProgram::from_insts("fwd", insts, DataSegment::zeroed(0x1000, 1));
         // Turnstile: store sits in the SB; the load still returns 42.
-        let out = Core::new(&p, SimConfig::turnstile(4, 50)).run().unwrap();
+        let out = Core::new(&p, SimConfig::turnstile(4, 50))
+            .run(RunOpts::default())
+            .unwrap();
         assert_eq!(out.ret, Some(42));
         assert_eq!(out.memory.get(&0x1000), Some(&42));
     }

@@ -56,8 +56,11 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// No faults.
-    pub fn none() -> Self {
-        FaultPlan::default()
+    pub const fn none() -> Self {
+        FaultPlan {
+            faults: Vec::new(),
+            watchdog: None,
+        }
     }
 
     /// Build from a list (sorted internally).

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use turnpike_sim::{Core, SimConfig};
+//! use turnpike_sim::{Core, RunOpts, SimConfig};
 //! use turnpike_isa::{MachInst, MachProgram, MOperand, PhysReg};
 //! use turnpike_ir::DataSegment;
 //!
@@ -34,7 +34,7 @@
 //!     ],
 //!     DataSegment::zeroed(0x1000, 0),
 //! );
-//! let out = Core::new(&prog, SimConfig::baseline()).run()?;
+//! let out = Core::new(&prog, SimConfig::baseline()).run(RunOpts::default())?;
 //! assert_eq!(out.ret, Some(42));
 //! # Ok(())
 //! # }
@@ -56,7 +56,7 @@ pub mod translate;
 pub use clq::{CamClq, Clq, ClqStats, CompactClq, IdealClq};
 pub use coloring::Coloring;
 pub use config::{ClqKind, SimConfig};
-pub use core::{Core, CoreSnapshot, ReplayGuide, SimError, SimOutcome};
+pub use core::{Core, CoreSnapshot, ReplayGuide, RunOpts, SimError, SimOutcome};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use mem::PagedMem;
 pub use rbb::Rbb;

@@ -17,7 +17,7 @@
 //!   (only addresses ever inserted appear, in sorted order);
 //! * pages live behind [`Arc`], so cloning a `PagedMem` is O(pages) pointer
 //!   copies — the copy-on-write substrate of the core's snapshot/fork API
-//!   ([`Core::run_collecting_snapshots`](crate::Core::run_collecting_snapshots)).
+//!   ([`RunOpts::snapshots`](crate::RunOpts::snapshots)).
 //!   Writes after a clone go through [`Arc::make_mut`], copying only the
 //!   written page.
 

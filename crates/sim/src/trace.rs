@@ -7,8 +7,8 @@
 //! crate:
 //!
 //! * [`Trace`] — a bounded in-memory ring buffer (oldest events evicted
-//!   past the cap) for tests and interactive inspection; obtain one with
-//!   [`Core::run_traced`](crate::Core::run_traced).
+//!   past the cap) for tests and interactive inspection; attach one with
+//!   [`Core::attach_sink`](crate::Core::attach_sink) via [`shared_sink`].
 //! * [`JsonlSink`] — a streaming writer emitting one JSON object per
 //!   event, for post-processing and golden-file diffs.
 //! * [`ChromeTrace`] — an exporter rendering region lifecycles, SB

@@ -7,6 +7,9 @@ use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
 use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig, TraceEvent};
 
+mod common;
+use common::run_traced;
+
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
 }
@@ -105,7 +108,7 @@ proptest! {
             FaultKind::Datapath { bit: 21 }
         };
         let plan = FaultPlan::new(vec![Fault { strike_cycle, detect_latency, kind }]);
-        let (out, trace) = Core::new(&p, sc).run_traced(&plan, 1 << 16).unwrap();
+        let (out, trace) = run_traced(Core::new(&p, sc), &plan, 1 << 16).unwrap();
         prop_assert_eq!(out.ret, Some(6), "resilient run must recover");
         prop_assert_eq!(trace.dropped, 0, "cap must not truncate this run");
         let evs = trace.events();
@@ -161,7 +164,7 @@ proptest! {
         } else {
             SimConfig::turnstile(sb_size, wcdl)
         };
-        let (out, trace) = Core::new(&p, sc).run_traced(&FaultPlan::none(), 1 << 16).unwrap();
+        let (out, trace) = run_traced(Core::new(&p, sc), &FaultPlan::none(), 1 << 16).unwrap();
         prop_assert_eq!(out.ret, Some(6));
         let evs = trace.events();
         let q = evs.iter().filter(|e| matches!(e, TraceEvent::Quarantined { .. })).count() as u64;

@@ -5,7 +5,7 @@
 
 use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
-use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig};
+use turnpike_sim::{shared_sink, Core, Fault, FaultKind, FaultPlan, RunOpts, SimConfig, Trace};
 
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
@@ -85,8 +85,13 @@ fn dense_program(iters: i64) -> MachProgram {
 
 fn check_plan(cfg: SimConfig, plan: FaultPlan) {
     let p = dense_program(12);
-    let golden = Core::new(&p, cfg.clone()).run().unwrap();
-    let run = Core::new(&p, cfg).run_with_faults(&plan).unwrap();
+    let golden = Core::new(&p, cfg.clone()).run(RunOpts::default()).unwrap();
+    let run = Core::new(&p, cfg)
+        .run(RunOpts {
+            faults: &plan,
+            ..RunOpts::default()
+        })
+        .unwrap();
     assert_eq!(run.ret, golden.ret, "{plan:?}");
     assert_eq!(run.memory, golden.memory, "{plan:?}");
 }
@@ -96,7 +101,9 @@ fn strike_during_sb_stall_window() {
     // Turnstile with a long WCDL: stores stall on a full SB constantly.
     // Sweep strikes across the whole run so many land inside stall waits.
     let p = dense_program(12);
-    let golden = Core::new(&p, SimConfig::turnstile(4, 40)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnstile(4, 40))
+        .run(RunOpts::default())
+        .unwrap();
     let horizon = golden.stats.cycles;
     for k in 1..24 {
         let cycle = horizon * k / 24;
@@ -115,7 +122,9 @@ fn strike_during_sb_stall_window() {
 #[test]
 fn strike_sweep_on_turnpike() {
     let p = dense_program(12);
-    let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+        .run(RunOpts::default())
+        .unwrap();
     let horizon = golden.stats.cycles;
     for k in 1..24 {
         let cycle = horizon * k / 24;
@@ -162,10 +171,12 @@ fn strike_exactly_at_verification_instants() {
     // Discover region end cycles from a traced clean run, then strike one
     // cycle before, at, and after each verification instant.
     let p = dense_program(8);
-    let (golden, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&FaultPlan::none(), 100_000)
-        .unwrap();
+    let trace = shared_sink(Trace::new(100_000));
+    let mut core = Core::new(&p, SimConfig::turnpike(4, 10));
+    core.attach_sink(trace.clone());
+    let golden = core.run(RunOpts::default()).unwrap();
     let verify_cycles: Vec<u64> = trace
+        .borrow()
         .events()
         .iter()
         .filter_map(|e| match e {
@@ -187,7 +198,10 @@ fn strike_exactly_at_verification_instants() {
                 kind: FaultKind::RegisterParity { reg: 1, bit: 1 },
             }]);
             let run = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(RunOpts {
+                    faults: &plan,
+                    ..RunOpts::default()
+                })
                 .unwrap();
             assert_eq!(run.ret, golden.ret, "strike at {cycle}");
             assert_eq!(run.memory, golden.memory, "strike at {cycle}");
@@ -198,14 +212,19 @@ fn strike_exactly_at_verification_instants() {
 #[test]
 fn post_completion_strikes_are_harmless() {
     let p = dense_program(6);
-    let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+        .run(RunOpts::default())
+        .unwrap();
     let plan = FaultPlan::new(vec![Fault {
         strike_cycle: golden.stats.cycles + 1000,
         detect_latency: 5,
         kind: FaultKind::RegisterParity { reg: 1, bit: 1 },
     }]);
     let run = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_with_faults(&plan)
+        .run(RunOpts {
+            faults: &plan,
+            ..RunOpts::default()
+        })
         .unwrap();
     assert_eq!(run.ret, golden.ret);
     assert_eq!(run.memory, golden.memory);

@@ -6,6 +6,9 @@ use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
 use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig, TraceEvent};
 
+mod common;
+use common::run_traced;
+
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
 }
@@ -79,9 +82,12 @@ fn program() -> MachProgram {
 #[test]
 fn fault_free_trace_is_consistent() {
     let p = program();
-    let (out, trace) = Core::new(&p, SimConfig::turnstile(4, 10))
-        .run_traced(&FaultPlan::none(), 4096)
-        .unwrap();
+    let (out, trace) = run_traced(
+        Core::new(&p, SimConfig::turnstile(4, 10)),
+        &FaultPlan::none(),
+        4096,
+    )
+    .unwrap();
     assert_eq!(out.ret, Some(6));
     let evs = trace.events();
     assert!(!evs.is_empty());
@@ -133,9 +139,7 @@ fn faulted_trace_shows_detection_then_recovery() {
         detect_latency: 6,
         kind: FaultKind::RegisterParity { reg: 1, bit: 2 },
     }]);
-    let (out, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&plan, 4096)
-        .unwrap();
+    let (out, trace) = run_traced(Core::new(&p, SimConfig::turnpike(4, 10)), &plan, 4096).unwrap();
     assert_eq!(out.ret, Some(6), "recovered run matches");
     let evs = trace.events();
     let strike = evs
@@ -166,9 +170,12 @@ fn faulted_trace_shows_detection_then_recovery() {
 #[test]
 fn turnpike_trace_shows_fast_releases() {
     let p = program();
-    let (_, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&FaultPlan::none(), 4096)
-        .unwrap();
+    let (_, trace) = run_traced(
+        Core::new(&p, SimConfig::turnpike(4, 10)),
+        &FaultPlan::none(),
+        4096,
+    )
+    .unwrap();
     let colored = trace
         .filter(|e| matches!(e, TraceEvent::ColoredRelease { .. }))
         .count();

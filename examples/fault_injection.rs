@@ -6,7 +6,7 @@
 //! cargo run --example fault_injection
 //! ```
 
-use turnpike::resilience::{fault_campaign, CampaignConfig, RunSpec, Scheme};
+use turnpike::resilience::{fault_campaign_forked, CampaignConfig, RunSpec, Scheme};
 use turnpike::workloads::{kernel_by_name, Scale, Suite};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     for scheme in [Scheme::Turnstile, Scheme::Turnpike] {
-        let report = fault_campaign(&kernel.program, &RunSpec::new(scheme), &config)?;
+        let report = fault_campaign_forked(&kernel.program, &RunSpec::new(scheme), &config, 1)?.0;
         println!(
             "{:<10} runs={} detections={} recoveries={} SDC={} {}",
             scheme.label(),
@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The baseline has no sensors and no recovery: strikes are free to
     // corrupt the output. (Some strikes still land in dead state.)
-    let report = fault_campaign(&kernel.program, &RunSpec::new(Scheme::Baseline), &config)?;
+    let report =
+        fault_campaign_forked(&kernel.program, &RunSpec::new(Scheme::Baseline), &config, 1)?.0;
     println!(
         "{:<10} runs={} SDC={} (no protection: corruption is possible)",
         Scheme::Baseline.label(),

@@ -7,7 +7,7 @@
 
 use turnpike::compiler::{compile, CompilerConfig};
 use turnpike::ir::{DataSegment, FunctionBuilder, Operand, Program};
-use turnpike::sim::{Core, SimConfig};
+use turnpike::sim::{Core, RunOpts, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tiny kernel: write squares into an array, then sum them back.
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         let compiled = compile(&program, &cc)?;
-        let out = Core::new(&compiled.program, sc).run()?;
+        let out = Core::new(&compiled.program, sc).run(RunOpts::default())?;
         println!(
             "{label}: ret={:?} cycles={:>6} ipc={:.2} ckpts={} bypass={:.0}%",
             out.ret,

@@ -11,7 +11,7 @@
 
 use turnpike::compiler::{compile, CompilerConfig};
 use turnpike::sim::{
-    shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, SimConfig, TraceEvent,
+    shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, RunOpts, SimConfig, TraceEvent,
 };
 use turnpike::workloads::{kernel_by_name, Scale, Suite};
 
@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sink = shared_sink(ChromeTrace::new());
     let mut core = Core::new(&compiled.program, SimConfig::turnpike(4, 10));
     core.attach_sink(sink.clone());
-    let outcome = core.run_with_faults(&plan)?;
+    let outcome = core.run(RunOpts {
+        faults: &plan,
+        ..RunOpts::default()
+    })?;
     let chrome = sink.borrow();
 
     println!(

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use turnpike::compiler::SPILL_BASE;
 use turnpike::ir::interp;
-use turnpike::resilience::{fault_campaign, run_kernel, CampaignConfig, RunSpec, Scheme};
+use turnpike::resilience::{fault_campaign_forked, run_kernel, CampaignConfig, RunSpec, Scheme};
 use turnpike::workloads::{generate, GeneratorConfig};
 
 fn data_only(mem: &BTreeMap<u64, i64>) -> BTreeMap<u64, i64> {
@@ -50,7 +50,7 @@ fn generated_kernels_are_equivalent_under_all_schemes() {
 fn generated_kernels_survive_fault_campaigns() {
     for seed in 0..6u64 {
         let p = generate(seed, &GeneratorConfig::default());
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -59,8 +59,10 @@ fn generated_kernels_survive_fault_campaigns() {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+        .0;
         assert!(report.sdc_free(), "seed {seed}: {report:?}");
     }
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use turnpike::compiler::{compile, CompilerConfig, SPILL_BASE};
 use turnpike::ir::{interp, BinOp, CmpOp, DataSegment, FunctionBuilder, Operand, Program, Reg};
 use turnpike::resilience::{run_kernel, RunSpec, Scheme};
-use turnpike::sim::{Core, SimConfig};
+use turnpike::sim::{Core, RunOpts, SimConfig};
 
 const DATA: u64 = 0x1_0000;
 const CELLS: i64 = 16;
@@ -135,7 +135,7 @@ proptest! {
         };
         let out = compile(&program, &config).expect("compiles");
         let sim = Core::new(&out.program, SimConfig::turnpike(4, 10))
-            .run()
+            .run(RunOpts::default())
             .expect("simulates");
         prop_assert_eq!(sim.ret, golden.0);
         prop_assert_eq!(data_only(&sim.memory), data_only(&golden.1));
@@ -192,9 +192,11 @@ proptest! {
             detect_latency: 1 + strike % 10,
             kind: turnpike::sim::FaultKind::RegisterParity { reg, bit },
         }]);
-        let run = turnpike::resilience::driver::run_kernel_with_faults(&program, &spec, &plan)
+        let compiled = compile(&program, &spec.compiler_config()).expect("compiles");
+        let run = Core::new(&compiled.program, spec.sim_config())
+            .run(RunOpts { faults: &plan, ..RunOpts::default() })
             .expect("faulted run completes");
-        prop_assert_eq!(run.outcome.ret, golden.outcome.ret);
-        prop_assert_eq!(run.outcome.memory, golden.outcome.memory);
+        prop_assert_eq!(run.ret, golden.outcome.ret);
+        prop_assert_eq!(run.memory, golden.outcome.memory);
     }
 }

@@ -1,7 +1,9 @@
 //! Cross-crate resilience invariants: zero SDC under fault injection, and
 //! the performance orderings the paper's figures rest on.
 
-use turnpike::resilience::{fault_campaign, geomean, run_kernel, CampaignConfig, RunSpec, Scheme};
+use turnpike::resilience::{
+    fault_campaign_forked, geomean, run_kernel, CampaignConfig, RunSpec, Scheme,
+};
 use turnpike::workloads::{all_kernels, Scale};
 
 #[test]
@@ -11,7 +13,7 @@ fn turnpike_is_sdc_free_across_the_catalog() {
         if i % 3 != 0 {
             continue;
         }
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &k.program,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -20,8 +22,10 @@ fn turnpike_is_sdc_free_across_the_catalog() {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        .unwrap_or_else(|e| panic!("{}: {e}", k.name))
+        .0;
         assert!(report.sdc_free(), "{}: {report:?}", k.name);
     }
 }
@@ -32,7 +36,7 @@ fn turnstile_is_sdc_free_across_the_catalog() {
         if i % 4 != 0 {
             continue;
         }
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &k.program,
             &RunSpec::new(Scheme::Turnstile),
             &CampaignConfig {
@@ -41,8 +45,10 @@ fn turnstile_is_sdc_free_across_the_catalog() {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        .unwrap_or_else(|e| panic!("{}: {e}", k.name))
+        .0;
         assert!(report.sdc_free(), "{}: {report:?}", k.name);
     }
 }
@@ -52,7 +58,7 @@ fn ladder_rungs_are_sdc_free_on_a_sample() {
     let kernels = all_kernels(Scale::Smoke);
     let k = &kernels[7]; // leslie3d: stencil with stores and pressure
     for scheme in Scheme::LADDER {
-        let report = fault_campaign(
+        let report = fault_campaign_forked(
             &k.program,
             &RunSpec::new(scheme),
             &CampaignConfig {
@@ -61,8 +67,10 @@ fn ladder_rungs_are_sdc_free_on_a_sample() {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
+        .unwrap_or_else(|e| panic!("{scheme:?}: {e}"))
+        .0;
         assert!(report.sdc_free(), "{scheme:?}: {report:?}");
     }
 }
@@ -71,7 +79,7 @@ fn ladder_rungs_are_sdc_free_on_a_sample() {
 fn bursts_of_strikes_recover() {
     let kernels = all_kernels(Scale::Smoke);
     let k = &kernels[1]; // bwaves: store-heavy
-    let report = fault_campaign(
+    let report = fault_campaign_forked(
         &k.program,
         &RunSpec::new(Scheme::Turnpike),
         &CampaignConfig {
@@ -80,8 +88,10 @@ fn bursts_of_strikes_recover() {
             strikes_per_run: 4,
             ..Default::default()
         },
+        1,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert!(report.sdc_free(), "{report:?}");
     assert!(report.recoveries > 0);
 }

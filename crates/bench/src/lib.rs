@@ -22,7 +22,7 @@ pub mod watch;
 pub use coordinate::{coordinate, CoordinateConfig, CoordinateReport, WorkerShare};
 pub use engine::Engine;
 pub use figures::*;
-pub use obs::{export_trace, fault_probe_metrics, find_kernel, hist_summary_json, TraceFormat};
+pub use obs::{export_trace, fault_probe_metrics, hist_summary_json, TraceFormat};
 pub use report::{upsert_block, write_block};
 pub use service::{campaign_payload, uniform_store_key_material, CampaignTotals, EngineExecutor};
 pub use table::{json_number, json_string, Table};

@@ -14,7 +14,7 @@ use turnpike_resilience::{
 use turnpike_sim::{
     shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, JsonlSink, RunOpts,
 };
-use turnpike_workloads::{all_kernels, Kernel, Scale};
+use turnpike_workloads::{find_kernel, Kernel, Scale};
 
 /// Trace output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +34,6 @@ impl TraceFormat {
             _ => None,
         }
     }
-}
-
-/// Find a kernel by name across all suites.
-pub fn find_kernel(name: &str, scale: Scale) -> Option<Kernel> {
-    all_kernels(scale).into_iter().find(|k| k.name == name)
 }
 
 /// The deterministic fault plan of a trace run: one datapath strike at 25%

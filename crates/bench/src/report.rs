@@ -1,28 +1,22 @@
 //! `BENCH_reproduce.json` as a merged, multi-block perf record.
 //!
-//! Every generating `reproduce` invocation — figure targets, `loadgen`,
-//! `sim-throughput` — records its perf block here. Historically each writer
-//! replaced the whole file, so running `reproduce loadgen` after
-//! `reproduce all` silently discarded the figure timings. The file is now a
-//! single top-level JSON object keyed by block name:
+//! Every generating `reproduce` invocation — figure targets,
+//! `fleet-bench`, `sim-throughput`, ... — records its perf block here. The
+//! file is a single top-level JSON object keyed by block name:
 //!
 //! ```json
 //! {
 //!   "all": { "target": "all", "wall_ms": 1234, ... },
-//!   "loadgen": { "target": "loadgen", "report": { ... } },
 //!   "sim_throughput": { "golden_path_ns_per_inst": 18.4, ... }
 //! }
 //! ```
 //!
-//! [`write_block`] upserts one block and preserves every other, so the
-//! record accretes across invocations instead of thrashing. The scanner is
-//! hand-rolled (the workspace has no JSON dependency, by design): it splits
-//! the top-level object into raw `(key, value)` slices — values are kept
-//! verbatim, never re-serialized — with string- and nesting-aware scanning.
-//!
-//! A file written by the old single-record format (a top-level object with
-//! a `"target"` string field) is migrated on first merge: the whole object
-//! becomes one block keyed by that target name.
+//! [`write_block`] upserts one block and preserves every other byte for
+//! byte, so the record accretes across invocations instead of thrashing.
+//! The scanner is hand-rolled (the workspace has no JSON dependency, by
+//! design): it splits the top-level object into raw `(key, value)` slices —
+//! values are kept verbatim, never re-serialized — with string- and
+//! nesting-aware scanning.
 
 use std::io;
 use std::path::Path;
@@ -128,19 +122,16 @@ fn scan_value(s: &[u8], i: usize) -> Option<usize> {
     }
 }
 
-/// The blocks of an existing record, with legacy migration: a pre-merge
-/// single-record file (top-level `"target"` string field) becomes one block
-/// keyed by that target.
+/// The blocks of an existing record, each value as its writer passed it:
+/// the two-space nesting prefix [`indent`] gave every continuation line is
+/// stripped again (a raw newline cannot occur inside a JSON string), so a
+/// rewrite leaves every preserved block unchanged.
 fn load_blocks(doc: &str) -> Vec<(String, String)> {
-    let Some(pairs) = parse_blocks(doc) else {
-        return Vec::new();
-    };
-    if let Some((_, target)) = pairs.iter().find(|(k, _)| k == "target") {
-        if let Some(name) = target.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
-            return vec![(name.to_string(), doc.trim().to_string())];
-        }
-    }
+    let pairs = parse_blocks(doc).unwrap_or_default();
     pairs
+        .into_iter()
+        .map(|(k, v)| (k, v.replace("\n  ", "\n")))
+        .collect()
 }
 
 /// Re-indent a multi-line raw value so it nests one level deep: every line
@@ -191,16 +182,16 @@ mod tests {
 
     #[test]
     fn merge_preserves_other_blocks() {
-        // The regression this module exists for: loadgen after a figure run
-        // must not discard the figure's record (or vice versa).
+        // The regression this module exists for: one writer after another
+        // must not discard the other's record (or vice versa).
         let doc = upsert_block("", "all", "{\"wall_ms\": 10}");
-        let doc = upsert_block(&doc, "loadgen", "{\"clients\": 4}");
+        let doc = upsert_block(&doc, "distributed", "{\"cpus\": 4}");
         let blocks = load_blocks(&doc);
         assert_eq!(
             blocks,
             vec![
                 ("all".into(), "{\"wall_ms\": 10}".into()),
-                ("loadgen".into(), "{\"clients\": 4}".into()),
+                ("distributed".into(), "{\"cpus\": 4}".into()),
             ]
         );
     }
@@ -217,18 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_record_is_migrated() {
-        // A file written by the pre-merge format: one record, identified by
-        // its top-level "target" field.
-        let legacy = "{\n  \"target\": \"loadgen\",\n  \"clients\": 8,\n  \
-                      \"report\": {\"p99\": [1, 2]}\n}\n";
-        let doc = upsert_block(legacy, "fig4", "{\"wall_ms\": 7}");
-        let blocks = load_blocks(&doc);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].0, "loadgen");
-        assert!(blocks[0].1.contains("\"clients\": 8"));
-        assert!(blocks[0].1.contains("\"p99\": [1, 2]"));
-        assert_eq!(blocks[1], ("fig4".into(), "{\"wall_ms\": 7}".into()));
+    fn preserved_multi_line_block_survives_rewrites_byte_for_byte() {
+        let block = "{\n  \"rows\": [\n    {\"n\": 1}\n  ]\n}";
+        let first = upsert_block("", "all", block);
+        let mut doc = upsert_block(&first, "explore", "{\n  \"jobs\": 0\n}");
+        for jobs in 1..=5 {
+            doc = upsert_block(&doc, "explore", &format!("{{\n  \"jobs\": {jobs}\n}}"));
+        }
+        assert!(doc.starts_with(first.trim_end_matches("\n}\n")), "{doc}");
+        assert_eq!(load_blocks(&doc)[0], ("all".into(), block.into()));
     }
 
     #[test]

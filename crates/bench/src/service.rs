@@ -29,11 +29,10 @@ use turnpike_serve::{
     StoreStatus,
 };
 use turnpike_sim::ClqKind;
-use turnpike_workloads::{Kernel, Scale};
+use turnpike_workloads::{find_kernel, Kernel, Scale};
 
 use crate::engine::Engine;
 use crate::figures::target_by_name;
-use crate::obs::find_kernel;
 use crate::table::json_string;
 
 /// [`Executor`] wiring jobs to the evaluation [`Engine`] and an optional
@@ -232,13 +231,6 @@ struct Resolved {
     geom: Option<CacheGeom>,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    }
-}
-
 impl EngineExecutor {
     /// An executor without persistence.
     pub fn new(engine: Engine) -> EngineExecutor {
@@ -300,11 +292,8 @@ impl EngineExecutor {
     fn resolve(&self, req: &JobRequest) -> Result<Resolved, String> {
         let scheme =
             Scheme::parse(&req.scheme).ok_or_else(|| format!("unknown scheme '{}'", req.scheme))?;
-        let scale = match req.scale.as_str() {
-            "smoke" => Scale::Smoke,
-            "full" => Scale::Full,
-            other => return Err(format!("unknown scale '{other}'")),
-        };
+        let scale =
+            Scale::parse(&req.scale).ok_or_else(|| format!("unknown scale '{}'", req.scale))?;
         let kernel = if req.kind == JobKind::Figure {
             if target_by_name(&req.target).is_none() {
                 return Err(format!("unknown figure target '{}'", req.target));
@@ -426,7 +415,7 @@ impl EngineExecutor {
                 json_string(kind),
                 json_string(&req.kernel),
                 json_string(&req.scheme),
-                json_string(scale_name(r.scale)),
+                json_string(r.scale.name()),
                 req.sb,
                 req.wcdl
             )
@@ -500,7 +489,7 @@ impl EngineExecutor {
                 })?;
                 Ok(campaign_payload(
                     req,
-                    scale_name(r.scale),
+                    r.scale.name(),
                     &CampaignTotals::from_report(&report),
                 ))
             }
@@ -510,7 +499,7 @@ impl EngineExecutor {
                 Ok(format!(
                     "{{\"kind\":\"figure\",\"target\":{},\"scale\":{},\"table\":{}}}",
                     json_string(&req.target),
-                    json_string(scale_name(r.scale)),
+                    json_string(r.scale.name()),
                     table.to_compact_json()
                 ))
             }

@@ -123,24 +123,9 @@ impl Table {
     }
 }
 
-/// JSON-escape a string (control characters, quotes, backslashes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// JSON-escape a string into a quoted literal: the serve crate's
+/// [`turnpike_serve::json::escape`], so every writer escapes alike.
+pub use turnpike_serve::json::escape as json_string;
 
 /// Render a finite double as a JSON number (non-finite values have no JSON
 /// representation; emit null like serde_json does).

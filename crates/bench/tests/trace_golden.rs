@@ -9,9 +9,9 @@
 //!   --out crates/bench/golden/trace_smoke.jsonl
 //! ```
 
-use turnpike_bench::{export_trace, find_kernel, TraceFormat};
+use turnpike_bench::{export_trace, TraceFormat};
 use turnpike_resilience::{RunSpec, Scheme};
-use turnpike_workloads::Scale;
+use turnpike_workloads::{find_kernel, Scale};
 
 #[test]
 fn jsonl_trace_matches_golden() {

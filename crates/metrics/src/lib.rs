@@ -265,7 +265,7 @@ pub enum Hist {
     /// Wall-clock microseconds per simulation in the evaluation harness.
     SimMicros,
     /// Wall-clock microseconds per served job, admission to final event
-    /// (server side) or submit to done (loadgen client side).
+    /// (server side).
     ServeJobMicros,
     /// Microseconds a served job waited in the work queue before a worker
     /// picked it up.

@@ -1,12 +1,12 @@
 //! Open-loop load generation against a multi-worker fleet.
 //!
-//! The closed-loop generator in [`crate::client::loadgen`] measures a
-//! server under *self-limiting* load: each client submits its next job
-//! only after the previous one finishes, so latency spikes throttle the
-//! offered rate and hide themselves. Tail percentiles under a fixed
-//! offered rate need **open-loop** arrivals — jobs launch on a schedule
-//! computed before the run starts, whether or not earlier jobs completed
-//! (the coordinated-omission lesson).
+//! A closed-loop generator, where each client submits its next job only
+//! after the previous one finishes, measures a server under
+//! *self-limiting* load: latency spikes throttle the offered rate and hide
+//! themselves. Tail percentiles under a fixed offered rate need
+//! **open-loop** arrivals — jobs launch on a schedule computed before the
+//! run starts, whether or not earlier jobs completed (the
+//! coordinated-omission lesson). This is the crate's only load generator.
 //!
 //! [`loadgen_fleet`] precomputes a deterministic, seeded arrival schedule
 //! ([`Arrival::Poisson`] or [`Arrival::Bursty`]), assigns jobs round-robin

@@ -326,8 +326,8 @@ impl Parser<'_> {
     }
 }
 
-/// JSON-escape `s` into a quoted string (same escapes as the bench
-/// harness's `json_string`, duplicated here to keep this crate std-only).
+/// JSON-escape `s` into a quoted string: quotes, backslashes and control
+/// characters (the bench harness re-exports it as `json_string`).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -25,8 +25,9 @@
 //! - a **`metrics` admin request** returning Prometheus-style text
 //!   exposition of the live registry with a stable line order;
 //! - **graceful shutdown** that drains queued and in-flight jobs;
-//! - a [`Client`] and [`loadgen`] harness measuring throughput and
-//!   latency percentiles into `turnpike-metrics` histograms.
+//! - a [`Client`] and an open-loop load generator ([`loadgen_fleet`])
+//!   measuring throughput and latency percentiles into
+//!   `turnpike-metrics` histograms.
 //!
 //! Everything the server observes — queue depth peaks, admission
 //! decisions, job/queue-wait latency, store hit rate — lands in the same
@@ -43,7 +44,7 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
-pub use client::{loadgen, Backoff, Client, LoadgenConfig, LoadgenReport, Outcome};
+pub use client::{Backoff, Client, Outcome};
 pub use fleet::{loadgen_fleet, Arrival, FleetLoadgenConfig, FleetReport, WorkerLoad};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAP};
 pub use json::Json;

@@ -325,16 +325,6 @@ pub struct ProgressStats {
     pub elapsed_ms: u64,
 }
 
-/// Format an `f64` like the [`crate::json`] writer: integral values as
-/// integers, others via the shortest decimal form that round-trips.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl ProgressStats {
     /// Render the payload's key/value pairs (leading comma included), in
     /// the fixed wire order.
@@ -349,14 +339,14 @@ impl ProgressStats {
             self.sdc,
             self.hangs,
             self.detections,
-            fmt_f64(self.sdc_rate),
-            fmt_f64(self.sdc_ci_lo),
-            fmt_f64(self.sdc_ci_hi),
-            fmt_f64(self.det_rate),
-            fmt_f64(self.det_ci_lo),
-            fmt_f64(self.det_ci_hi),
-            fmt_f64(self.strikes_per_sec),
-            fmt_f64(self.ns_per_inst),
+            Json::Num(self.sdc_rate),
+            Json::Num(self.sdc_ci_lo),
+            Json::Num(self.sdc_ci_hi),
+            Json::Num(self.det_rate),
+            Json::Num(self.det_ci_lo),
+            Json::Num(self.det_ci_hi),
+            Json::Num(self.strikes_per_sec),
+            Json::Num(self.ns_per_inst),
             self.eta_ms,
             self.elapsed_ms,
         )

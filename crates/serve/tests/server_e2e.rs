@@ -1,6 +1,6 @@
 //! End-to-end tests of the job server over real TCP with a mock executor:
 //! job flow, admission control under saturation, per-job timeout
-//! cancellation, graceful-shutdown draining, and the loadgen harness.
+//! cancellation, graceful-shutdown draining, and the load generator.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use turnpike_metrics::Counter;
 use turnpike_serve::{
-    loadgen, Client, ExecOutput, Executor, JobCtl, JobKind, JobRequest, LoadgenConfig, Outcome,
-    Server, ServerConfig, StoreStatus,
+    loadgen_fleet, Arrival, Client, ExecOutput, Executor, FleetLoadgenConfig, JobCtl, JobKind,
+    JobRequest, Outcome, Server, ServerConfig, StoreStatus,
 };
 
 /// Scriptable executor: renders a deterministic payload after an optional
@@ -338,18 +338,22 @@ fn loadgen_delivers_every_tagged_job_exactly_once() {
         ..ServerConfig::default()
     };
     let (server, exec) = start(config, MockExec::instant());
-    let cfg = LoadgenConfig {
-        clients: 8,
-        jobs_per_client: 5,
+    // One burst of 40 concurrent submissions against a queue of 2.
+    let cfg = FleetLoadgenConfig {
+        jobs: 40,
+        arrival: Arrival::Bursty {
+            burst: 40,
+            idle_ms: 0,
+        },
+        seed: 7,
         request: JobRequest::new(JobKind::Run),
         max_retries: 10_000,
     };
-    let report = loadgen(server.addr(), &cfg).unwrap();
+    let report = loadgen_fleet(&[server.addr()], &cfg).unwrap();
     assert_eq!(report.jobs, 40);
-    assert_eq!(report.completed, 40);
+    assert_eq!(report.completed, 40, "{}", report.to_json());
     assert_eq!(report.errors, 0);
-    assert_eq!(report.lost, 0, "lost jobs: {}", report.to_json());
-    assert_eq!(report.duplicated, 0);
+    // Exactly once: every job completed, and the executor ran each once.
     assert_eq!(exec.executions.load(Ordering::SeqCst), 40);
     assert_eq!(report.latency.count(), 40);
     let json = report.to_json();

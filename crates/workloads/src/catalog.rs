@@ -42,6 +42,21 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The CLI and wire name: `"smoke"` or `"full"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale named `name` (the inverse of [`Scale::name`]).
+    pub fn parse(name: &str) -> Option<Scale> {
+        [Scale::Smoke, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     fn f(self, full: i64) -> i64 {
         match self {
             Scale::Smoke => (full / 16).max(8),
@@ -216,6 +231,15 @@ pub fn kernel_by_name(suite: Suite, name: &str, scale: Scale) -> Option<Kernel> 
         .map(|&n| build(n, suite, scale))
 }
 
+/// Look up one kernel by name alone, building only that kernel. A name two
+/// suites share resolves to its first entry in [`all_kernels`] order, so
+/// `bwaves`, `mcf` and `xalan` are the CPU2006 kernels.
+pub fn find_kernel(name: &str, scale: Scale) -> Option<Kernel> {
+    [Suite::Cpu2006, Suite::Cpu2017, Suite::Splash3]
+        .into_iter()
+        .find_map(|suite| kernel_by_name(suite, name, scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +273,21 @@ mod tests {
         assert!(kernel_by_name(Suite::Cpu2017, "mcf", Scale::Smoke).is_some());
         assert!(kernel_by_name(Suite::Splash3, "mcf", Scale::Smoke).is_none());
         assert!(kernel_by_name(Suite::Splash3, "radix", Scale::Smoke).is_some());
+    }
+
+    #[test]
+    fn find_kernel_matches_the_first_catalog_entry_of_each_name() {
+        for scale in [Scale::Smoke, Scale::Full] {
+            let all = all_kernels(scale);
+            for k in &all {
+                let first = all.iter().find(|e| e.name == k.name).unwrap();
+                let found = find_kernel(k.name, scale).unwrap();
+                assert_eq!((found.id(), &found.program), (first.id(), &first.program));
+            }
+            assert!(find_kernel("not-a-kernel", scale).is_none());
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::parse("medium"), None);
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod catalog;
 pub mod generator;
 pub mod templates;
 
-pub use catalog::{all_kernels, kernel_by_name, Kernel, KernelId, Scale, Suite};
+pub use catalog::{all_kernels, find_kernel, kernel_by_name, Kernel, KernelId, Scale, Suite};
 pub use generator::{generate, GeneratorConfig};
